@@ -40,6 +40,14 @@ echo "==> immediate-vs-deferred admission equivalence (release, full engine x mo
 # LoadFailed failover anchors. Argument: crates/fleet/src/fleet.rs docs.
 cargo test -q --release -p rtm-fleet --test deferred_equivalence
 
+echo "==> router differential net (release): dense find_path vs the reference BFS"
+# NetDb::find_path keeps its search state in a dense per-search table.
+# The HashMap BFS it replaced survives as a #[cfg(test)] oracle; on
+# random XCV50/XCV100 nets, reservations and within-regions (None,
+# empty, 1x1, excluding the sink or the source) both must return the
+# identical path or the identical SimError.
+cargo test -q --release -p rtm-sim --lib route::tests::differential
+
 echo "==> work-stealing-off executor (rtm-fleet --no-default-features)"
 # Without the 'parallel' feature the engine deals shards to static
 # per-worker hands (no unsafe, no work stealing). The same equivalence
@@ -84,8 +92,12 @@ echo "==> perf gate: fleet_loop --baseline vs checked-in BENCH_fleet.json"
 # agree on every counter — the byte diff doubles as a standing
 # cross-engine *and* cross-mode equivalence gate. Regenerate with:
 #   cargo run --release --example fleet_loop -- --baseline BENCH_fleet.json
+baseline_start=$SECONDS
 cargo run --release --example fleet_loop -- --baseline target/BENCH_fleet.json \
   | tee target/fleet_baseline.log
+# Wall seconds of the whole suite, for the log only (never gated):
+# ROADMAP item 1 targets < 100 s on a 2-core host.
+echo "baseline suite wall: $((SECONDS - baseline_start)) s"
 if ! diff -u BENCH_fleet.json target/BENCH_fleet.json; then
   echo "perf counters drifted from BENCH_fleet.json — investigate, then"
   echo "regenerate the baseline if the change is intentional."

@@ -3,8 +3,8 @@
 //! executable device edits.
 //!
 //! Every procedure step is an ordinary set of configuration-memory
-//! writes; the engine snapshots the configuration around each step so the
-//! report carries the exact frame traffic (the input to the cost model),
+//! writes; the engine journals the configuration writes of each step so
+//! the report carries the exact frame traffic (the input to the cost model),
 //! and an observer callback is invoked after each step so a harness can
 //! keep the system clocking — the relocation happens *while the circuit
 //! runs*, which is the paper's whole point.
@@ -247,15 +247,17 @@ struct Engine<'a, F: FnMut(&Device, &PlacedDesign, &StepRecord)> {
 
 impl<F: FnMut(&Device, &PlacedDesign, &StepRecord)> Engine<'_, F> {
     /// Runs `body` as one procedure step, recording the frames it touched
-    /// and notifying the observer.
+    /// and notifying the observer. The step's frame journal is closed
+    /// whether or not `body` succeeds.
     fn step(
         &mut self,
         kind: StepKind,
         body: impl FnOnce(&mut Device, &mut PlacedDesign, &RelocationOptions) -> Result<(), CoreError>,
     ) -> Result<(), CoreError> {
-        let before = self.dev.config().snapshot();
-        body(self.dev, self.placed, self.opts)?;
-        let frames = self.dev.config().diff_frames(&before);
+        self.dev.begin_journal();
+        let outcome = body(self.dev, self.placed, self.opts);
+        let frames = self.dev.end_journal();
+        outcome?;
         let record = StepRecord {
             step: kind,
             frames,
@@ -783,5 +785,50 @@ mod tests {
         if let (Some(pi), Some(po), Some(dc)) = (pi, po, dc) {
             assert!(pi < po && po < dc, "phase order violated: {kinds:?}");
         }
+    }
+
+    #[test]
+    fn failed_step_closes_its_journal() {
+        let (mut dev, mut placed) = setup(1);
+        let opts = RelocationOptions::default();
+        let mut observer = |_: &Device, _: &PlacedDesign, _: &StepRecord| {};
+        let mut engine = Engine {
+            dev: &mut dev,
+            placed: &mut placed,
+            opts: &opts,
+            slot: DesignSlot::Cell(0),
+            steps: Vec::new(),
+            aux_sites_used: Vec::new(),
+            observer: &mut observer,
+        };
+        let cfg = LogicCell {
+            lut: Lut::from_bits(0x6996),
+            ..LogicCell::default()
+        };
+        // The body writes frames, then fails.
+        let err = engine
+            .step(StepKind::CopyConfig, |dev, _, _| {
+                dev.set_cell(ClbCoord::new(20, 20), 0, cfg)?;
+                Err(CoreError::DesignMismatch {
+                    detail: "injected".into(),
+                })
+            })
+            .unwrap_err();
+        assert!(matches!(err, CoreError::DesignMismatch { .. }));
+        assert_eq!(engine.dev.config().journal_depth(), 0);
+        assert!(engine.steps.is_empty(), "a failed step records nothing");
+        // The next step lists exactly the frames its own body changed.
+        let before = engine.dev.config().snapshot();
+        engine
+            .step(StepKind::CopyConfig, |dev, _, _| {
+                dev.set_cell(ClbCoord::new(22, 30), 1, cfg)?;
+                Ok(())
+            })
+            .unwrap();
+        let expected = engine.dev.config().diff_frames(&before);
+        assert!(!expected.is_empty());
+        assert_eq!(engine.steps.len(), 1);
+        assert_eq!(engine.steps[0].frames, expected);
+        assert_eq!(engine.dev.config().journal_depth(), 0);
     }
 }

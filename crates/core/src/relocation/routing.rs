@@ -88,9 +88,10 @@ pub fn relocate_sink_path(
     // Phase 1: duplicate — route a parallel branch from the same source
     // as a temporary net. Its path is automatically disjoint from the
     // original (those nodes are occupied by `net`).
-    let before = dev.config().snapshot();
-    let replica = netdb.route_net(dev, source, &[sink], within)?;
-    let duplicate_frames = dev.config().diff_frames(&before);
+    dev.begin_journal();
+    let replica = netdb.route_net(dev, source, &[sink], within);
+    let duplicate_frames = dev.end_journal();
+    let replica = replica?;
     let new_delay_ps = netdb
         .net(replica)
         .expect("just routed")
@@ -101,10 +102,10 @@ pub fn relocate_sink_path(
     between_phases(dev);
 
     // Phase 2: disconnect the original branch and adopt the replica.
-    let before = dev.config().snapshot();
+    dev.begin_journal();
     netdb.remove_sink(dev, net, sink);
     netdb.absorb(net, replica);
-    let retire_frames = dev.config().diff_frames(&before);
+    let retire_frames = dev.end_journal();
 
     Ok(RoutingRelocationReport {
         net,

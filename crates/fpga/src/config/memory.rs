@@ -30,6 +30,13 @@ impl FrameWriteEffect {
 /// The full configuration memory of one device: a map from frame address
 /// to frame payload, all frames initially zero.
 ///
+/// A memory can also keep nestable **write journals**
+/// ([`ConfigMemory::begin_journal`] / [`ConfigMemory::end_journal`]): the
+/// list of frames a span of writes changed, at a cost that scales with
+/// the frames written rather than with the whole memory. Journals are
+/// bookkeeping, not configuration: equality and
+/// [`ConfigMemory::snapshot`] ignore them.
+///
 /// ```
 /// use rtm_fpga::config::{ConfigMemory, FrameAddress};
 /// use rtm_fpga::part::Part;
@@ -44,13 +51,25 @@ impl FrameWriteEffect {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct ConfigMemory {
     part: Part,
     // Only frames that have ever been written are stored; absent frames
     // read as all-zero.
     frames: BTreeMap<FrameAddress, Frame>,
+    // Open write journals, innermost last. Each maps every frame a write
+    // changed since the journal began to its payload at that first
+    // change.
+    journals: Vec<BTreeMap<FrameAddress, Frame>>,
 }
+
+impl PartialEq for ConfigMemory {
+    fn eq(&self, other: &Self) -> bool {
+        self.part == other.part && self.frames == other.frames
+    }
+}
+
+impl Eq for ConfigMemory {}
 
 impl ConfigMemory {
     /// An all-zero configuration memory for `part`.
@@ -58,6 +77,7 @@ impl ConfigMemory {
         ConfigMemory {
             part,
             frames: BTreeMap::new(),
+            journals: Vec::new(),
         }
     }
 
@@ -130,6 +150,11 @@ impl ConfigMemory {
         }
         let old = self.read_frame(addr)?;
         let changed_bits = old.diff(&frame);
+        if !changed_bits.is_empty() {
+            if let Some(journal) = self.journals.last_mut() {
+                journal.entry(addr).or_insert(old);
+            }
+        }
         self.frames.insert(addr, frame);
         Ok(FrameWriteEffect { addr, changed_bits })
     }
@@ -170,8 +195,58 @@ impl ConfigMemory {
         self.validate_addr(addr)?;
         let len = self.frame_len();
         let frame = self.frames.entry(addr).or_insert_with(|| Frame::zeros(len));
-        let old = frame.set(bit, value);
-        Ok(old != value)
+        if frame.get(bit) == value {
+            return Ok(false);
+        }
+        if let Some(journal) = self.journals.last_mut() {
+            journal.entry(addr).or_insert_with(|| frame.clone());
+        }
+        frame.set(bit, value);
+        Ok(true)
+    }
+
+    /// Opens a write journal. Until the matching
+    /// [`ConfigMemory::end_journal`], every [`ConfigMemory::write_frame`]
+    /// and [`ConfigMemory::set_bit`] that changes a frame records the
+    /// frame's payload from before its first change. Journals nest; only
+    /// the innermost one records.
+    pub fn begin_journal(&mut self) {
+        self.journals.push(BTreeMap::new());
+    }
+
+    /// Closes the innermost journal and returns, in address order, the
+    /// frames whose payload now differs from when the journal began —
+    /// exactly `self.diff_frames(&snapshot)` for a snapshot taken at
+    /// [`ConfigMemory::begin_journal`]. A frame written back to its old
+    /// value is not listed. Closing a nested journal hands its records
+    /// to the enclosing one, so the outer journal still sees every
+    /// write made inside it. Closing with no journal open is a caller
+    /// bug: debug builds panic, release builds return an empty list.
+    pub fn end_journal(&mut self) -> Vec<FrameAddress> {
+        debug_assert!(
+            !self.journals.is_empty(),
+            "end_journal without begin_journal"
+        );
+        let Some(journal) = self.journals.pop() else {
+            return Vec::new();
+        };
+        let zero = Frame::zeros(self.frame_len());
+        let changed = journal
+            .iter()
+            .filter(|&(addr, old)| self.frames.get(addr).unwrap_or(&zero) != old)
+            .map(|(addr, _)| *addr)
+            .collect();
+        if let Some(outer) = self.journals.last_mut() {
+            for (addr, old) in journal {
+                outer.entry(addr).or_insert(old);
+            }
+        }
+        changed
+    }
+
+    /// Number of open write journals.
+    pub fn journal_depth(&self) -> usize {
+        self.journals.len()
     }
 
     /// All frame addresses that currently differ from `other`.
@@ -205,9 +280,14 @@ impl ConfigMemory {
     }
 
     /// A snapshot for recovery ("the program always keeps a complete copy
-    /// of the current configuration", paper §4).
+    /// of the current configuration", paper §4). The copy has no open
+    /// journals.
     pub fn snapshot(&self) -> ConfigMemory {
-        self.clone()
+        ConfigMemory {
+            part: self.part,
+            frames: self.frames.clone(),
+            journals: Vec::new(),
+        }
     }
 
     /// Packs every non-zero frame as address + payload words (a trivial
@@ -238,6 +318,7 @@ impl ConfigMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn unwritten_frames_read_zero() {
@@ -311,5 +392,90 @@ mod tests {
         let back = ConfigMemory::restore(Part::Xcv100, &dump).unwrap();
         assert_eq!(back, mem);
         assert!(back.snapshot().diff_frames(&mem).is_empty());
+    }
+
+    #[test]
+    fn journals_are_not_configuration() {
+        let mut mem = ConfigMemory::new(Part::Xcv50);
+        let plain = mem.clone();
+        mem.begin_journal();
+        assert_eq!(mem, plain, "equality ignores open journals");
+        assert_eq!(mem.snapshot().journal_depth(), 0);
+        mem.set_bit(FrameAddress::clb(1, 1), 3, true).unwrap();
+        mem.set_bit(FrameAddress::clb(1, 1), 3, false).unwrap();
+        assert_eq!(mem.end_journal(), vec![], "written back to its old value");
+        assert_eq!(mem.journal_depth(), 0);
+    }
+
+    /// Frames the journal property writes: few enough that writes
+    /// collide, on every block type.
+    fn addrs() -> [FrameAddress; 6] {
+        [
+            FrameAddress::clb(0, 0),
+            FrameAddress::clb(0, 1),
+            FrameAddress::clb(3, 5),
+            FrameAddress::clb(23, 47),
+            FrameAddress::iob(1, 2),
+            FrameAddress::clock(3),
+        ]
+    }
+
+    proptest! {
+        /// Every journal, nested or not, lists exactly the frames
+        /// `diff_frames` finds against a snapshot taken when it began.
+        #[test]
+        fn journal_equals_snapshot_diff(
+            pre in proptest::collection::vec((0usize..6, 0usize..48, any::<bool>()), 0..20),
+            ops in proptest::collection::vec(
+                (0u8..9, 0usize..6, 0usize..48, any::<bool>()), 0..60),
+        ) {
+            let mut mem = ConfigMemory::new(Part::Xcv50);
+            let len = mem.frame_len();
+            for (f, bit, v) in pre {
+                mem.set_bit(addrs()[f], bit, v).unwrap();
+            }
+            // The memory at each open journal's begin, innermost last.
+            let mut begun = vec![mem.snapshot()];
+            mem.begin_journal();
+            for (op, f, bit, v) in ops {
+                let addr = addrs()[f];
+                match op {
+                    0..=2 => {
+                        mem.set_bit(addr, bit, v).unwrap();
+                    }
+                    3 => {
+                        let mut frame = mem.read_frame(addr).unwrap();
+                        let flipped = !frame.get(bit);
+                        frame.set(bit, flipped);
+                        frame.set((bit * 7 + 3) % len, v);
+                        mem.write_frame(addr, frame).unwrap();
+                    }
+                    // Write-backs to the innermost and the outermost
+                    // journal's original payload.
+                    4 => {
+                        let frame = begun[begun.len() - 1].read_frame(addr).unwrap();
+                        mem.write_frame(addr, frame).unwrap();
+                    }
+                    5 => {
+                        let frame = begun[0].read_frame(addr).unwrap();
+                        mem.write_frame(addr, frame).unwrap();
+                    }
+                    6 => {
+                        begun.push(mem.snapshot());
+                        mem.begin_journal();
+                    }
+                    _ if begun.len() > 1 => {
+                        let at_begin = begun.pop().unwrap();
+                        prop_assert_eq!(mem.end_journal(), mem.diff_frames(&at_begin));
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(mem.journal_depth(), begun.len());
+            }
+            while let Some(at_begin) = begun.pop() {
+                prop_assert_eq!(mem.end_journal(), mem.diff_frames(&at_begin));
+            }
+            prop_assert_eq!(mem.journal_depth(), 0);
+        }
     }
 }

@@ -74,6 +74,19 @@ impl Device {
         &self.config
     }
 
+    /// Opens a configuration write journal (see
+    /// [`ConfigMemory::begin_journal`]).
+    pub fn begin_journal(&mut self) {
+        self.config.begin_journal();
+    }
+
+    /// Closes the innermost write journal and returns the frames whose
+    /// content changed since it began, in address order (see
+    /// [`ConfigMemory::end_journal`]).
+    pub fn end_journal(&mut self) -> Vec<FrameAddress> {
+        self.config.end_journal()
+    }
+
     fn idx(&self, coord: ClbCoord) -> Result<usize, FpgaError> {
         if coord.row >= self.rows() || coord.col >= self.cols() {
             return Err(FpgaError::OutOfBounds {

@@ -7,15 +7,23 @@
 //! source* nets (paralleling outputs, Fig. 2 phase 2 / Fig. 5), and
 //! retires sinks or whole nets (disconnecting the original CLB), all while
 //! other nets keep their resources.
+//!
+//! A search keeps its state dense: the BFS parent of every node lives in
+//! a flat table indexed by `(tile − frame origin) × WIRE_COUNT +
+//! Wire::index()`, where the frame is the bounding box of everything the
+//! search may visit. Occupancy stays a map (it is sparse and long-lived)
+//! keyed through a fixed-seed multiplicative hasher, and is only ever
+//! used for lookups.
 
 use crate::error::SimError;
-use rtm_fpga::geom::Rect;
+use rtm_fpga::geom::{ClbCoord, Rect};
 use rtm_fpga::routing::{
     fixed_link, pip_exists, Pip, RouteNode, Wire, HEX_DELAY_PS, PIP_DELAY_PS, SINGLE_DELAY_PS,
     WIRE_COUNT,
 };
 use rtm_fpga::Device;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
 /// Identifier of a routed net within a [`NetDb`].
@@ -132,11 +140,111 @@ pub fn path_delay_ps(path: &[RouteNode]) -> u64 {
 /// routing but carry no local net.
 pub const RESERVED: NetId = usize::MAX;
 
+/// A fixed-seed multiplicative hasher (the rotate-xor-multiply step of
+/// Fx hashing). Route nodes hash as a few small integers, for which
+/// SipHash's per-process random keys buy nothing but cost.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeHasher(u64);
+
+impl NodeHasher {
+    const SEED: u64 = 0x517c_c1b7_2722_0a95;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for NodeHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.add(u64::from(n));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+}
+
+/// Which nets use each node. Lookup-only: nothing iterates it in an
+/// order that can reach a result.
+type Occupancy = HashMap<RouteNode, Vec<NetId>, BuildHasherDefault<NodeHasher>>;
+
+/// Marks a dense parent-table slot no search has reached.
+const NO_PARENT: u32 = u32::MAX;
+
+/// The tile rectangle one search can visit: the bounding box of `within`
+/// (clipped to the device; the whole device when `None`), the net's
+/// existing nodes and the sink. Seeds and the sink may lie outside
+/// `within`, so the frame must cover them too.
+fn search_frame(
+    dev: &Device,
+    within: Option<Rect>,
+    seeds: impl Iterator<Item = RouteNode>,
+    sink: RouteNode,
+) -> Rect {
+    let area = match within {
+        None => Some(dev.bounds()),
+        Some(r) => r.intersection(&dev.bounds()),
+    };
+    let (mut r0, mut c0, mut r1, mut c1) =
+        (sink.tile.row, sink.tile.col, sink.tile.row, sink.tile.col);
+    let mut cover = |row: u16, col: u16| {
+        r0 = r0.min(row);
+        c0 = c0.min(col);
+        r1 = r1.max(row);
+        c1 = c1.max(col);
+    };
+    if let Some(a) = area {
+        cover(a.origin.row, a.origin.col);
+        cover(a.row_end() - 1, a.col_end() - 1);
+    }
+    for n in seeds {
+        cover(n.tile.row, n.tile.col);
+    }
+    Rect::from_corners(ClbCoord::new(r0, c0), ClbCoord::new(r1, c1))
+}
+
+/// The dense index of `node` within `frame`, or `None` outside it.
+fn dense_index(frame: Rect, node: RouteNode) -> Option<usize> {
+    if !frame.contains(node.tile) {
+        return None;
+    }
+    let r = (node.tile.row - frame.origin.row) as usize;
+    let c = (node.tile.col - frame.origin.col) as usize;
+    Some((r * frame.cols as usize + c) * WIRE_COUNT + node.wire.index())
+}
+
+/// The node behind a dense index of `frame` (inverse of [`dense_index`]).
+fn dense_node(frame: Rect, idx: usize) -> RouteNode {
+    let tile = idx / WIRE_COUNT;
+    let cols = frame.cols as usize;
+    RouteNode::new(
+        ClbCoord::new(
+            frame.origin.row + (tile / cols) as u16,
+            frame.origin.col + (tile % cols) as u16,
+        ),
+        Wire::from_index(idx % WIRE_COUNT),
+    )
+}
+
 /// The live net database: routed nets plus wire occupancy.
 #[derive(Debug, Clone, Default)]
 pub struct NetDb {
     nets: Vec<Option<RoutedNet>>,
-    occupancy: HashMap<RouteNode, Vec<NetId>>,
+    occupancy: Occupancy,
 }
 
 impl NetDb {
@@ -357,6 +465,11 @@ impl NetDb {
     }
 
     /// Breadth-first search from the net's current nodes to `sink`.
+    ///
+    /// The parent of every reached node lives in a dense table over the
+    /// search frame (see [`search_frame`]), allocated per search so no
+    /// device-sized state is kept per database. A node outside the frame
+    /// is neither the sink nor usable, so skipping it changes nothing.
     fn find_path(
         &self,
         dev: &Device,
@@ -371,6 +484,10 @@ impl NetDb {
         if net.node_refs.contains_key(&sink) {
             return Err(SimError::SinkOccupied { pin: sink });
         }
+        let unroutable = SimError::Unroutable {
+            from: net.source,
+            to: sink,
+        };
         let usable = |node: RouteNode| -> bool {
             if let Some(r) = within {
                 if !r.contains(node.tile) {
@@ -380,25 +497,38 @@ impl NetDb {
             let users = self.users_of(node);
             users.is_empty() || users == [id]
         };
-        let mut parent: HashMap<RouteNode, RouteNode> = HashMap::new();
-        let mut queue: VecDeque<RouteNode> = VecDeque::new();
+        // The frame covers the sink and every seed, so neither lookup
+        // below misses.
+        let frame = search_frame(dev, within, net.nodes(), sink);
+        let Some(sink_idx) = dense_index(frame, sink) else {
+            return Err(unroutable);
+        };
+        // `parent[i]` is the dense index of the node `i` was reached
+        // from; a seed is its own parent.
+        let mut parent = vec![NO_PARENT; frame.area() as usize * WIRE_COUNT];
+        let mut queue: VecDeque<(RouteNode, u32)> = VecDeque::new();
         for n in net.nodes() {
-            parent.insert(n, n);
-            queue.push_back(n);
+            if let Some(i) = dense_index(frame, n) {
+                parent[i] = i as u32;
+                queue.push_back((n, i as u32));
+            }
         }
         let (rows, cols) = (dev.rows(), dev.cols());
-        while let Some(node) = queue.pop_front() {
-            let push = |next: RouteNode, parent_map: &mut HashMap<_, _>, q: &mut VecDeque<_>| {
-                if parent_map.contains_key(&next) {
+        while let Some((node, from)) = queue.pop_front() {
+            let push = |next: RouteNode, parent: &mut [u32], q: &mut VecDeque<_>| {
+                let Some(j) = dense_index(frame, next) else {
+                    return false;
+                };
+                if parent[j] != NO_PARENT {
                     return false;
                 }
                 if next == sink {
-                    parent_map.insert(next, node);
+                    parent[j] = from;
                     return true;
                 }
                 if usable(next) {
-                    parent_map.insert(next, node);
-                    q.push_back(next);
+                    parent[j] = from;
+                    q.push_back((next, j as u32));
                 }
                 false
             };
@@ -422,13 +552,13 @@ impl NetDb {
                 // grew from), then prepend the source → branch-point
                 // chain so the stored path is a full source → sink chain.
                 let mut branch = vec![sink];
-                let mut cur = sink;
+                let mut cur = sink_idx;
                 loop {
-                    let p = parent[&cur];
+                    let p = parent[cur] as usize;
                     if p == cur {
                         break;
                     }
-                    branch.push(p);
+                    branch.push(dense_node(frame, p));
                     cur = p;
                 }
                 branch.reverse();
@@ -437,10 +567,7 @@ impl NetDb {
                 return Ok(path);
             }
         }
-        Err(SimError::Unroutable {
-            from: net.source,
-            to: sink,
-        })
+        Err(unroutable)
     }
 
     /// Activates a found path: PIPs on the device, refcounts, occupancy.
@@ -477,7 +604,7 @@ impl NetDb {
     fn retract_path(
         dev: &mut Device,
         net: &mut RoutedNet,
-        occupancy: &mut HashMap<RouteNode, Vec<NetId>>,
+        occupancy: &mut Occupancy,
         id: NetId,
         sink: RouteNode,
     ) {
@@ -505,7 +632,7 @@ impl NetDb {
     }
 }
 
-fn remove_occupant(occupancy: &mut HashMap<RouteNode, Vec<NetId>>, node: RouteNode, id: NetId) {
+fn remove_occupant(occupancy: &mut Occupancy, node: RouteNode, id: NetId) {
     if let Some(users) = occupancy.get_mut(&node) {
         users.retain(|u| *u != id);
         if users.is_empty() {
@@ -752,5 +879,297 @@ mod tests {
         // Minimum: pip onto single (120+350) + pip into pin (120) = 590.
         assert!(delay >= 590, "delay {delay}");
         assert!(delay < 5_000, "neighbour route should be short: {delay}");
+    }
+
+    /// The `HashMap` breadth-first search the dense [`NetDb::find_path`]
+    /// replaced, kept verbatim as the differential oracle.
+    fn reference_find_path(
+        db: &NetDb,
+        dev: &Device,
+        net: &RoutedNet,
+        id: NetId,
+        sink: RouteNode,
+        within: Option<Rect>,
+    ) -> Result<Vec<RouteNode>, SimError> {
+        if net.node_refs.contains_key(&sink) {
+            return Err(SimError::SinkOccupied { pin: sink });
+        }
+        let usable = |node: RouteNode| -> bool {
+            if let Some(r) = within {
+                if !r.contains(node.tile) {
+                    return false;
+                }
+            }
+            let users = db.users_of(node);
+            users.is_empty() || users == [id]
+        };
+        let mut parent: HashMap<RouteNode, RouteNode> = HashMap::new();
+        let mut queue: VecDeque<RouteNode> = VecDeque::new();
+        for n in net.nodes() {
+            parent.insert(n, n);
+            queue.push_back(n);
+        }
+        let (rows, cols) = (dev.rows(), dev.cols());
+        while let Some(node) = queue.pop_front() {
+            let push = |next: RouteNode, parent_map: &mut HashMap<_, _>, q: &mut VecDeque<_>| {
+                if parent_map.contains_key(&next) {
+                    return false;
+                }
+                if next == sink {
+                    parent_map.insert(next, node);
+                    return true;
+                }
+                if usable(next) {
+                    parent_map.insert(next, node);
+                    q.push_back(next);
+                }
+                false
+            };
+            let mut found = false;
+            for to in pip_fanout(node.wire) {
+                let next = RouteNode::new(node.tile, *to);
+                if push(next, &mut parent, &mut queue) {
+                    found = true;
+                    break;
+                }
+            }
+            if !found {
+                if let Some(next) = fixed_link(node.tile, node.wire, rows, cols) {
+                    found = push(next, &mut parent, &mut queue);
+                }
+            }
+            if found {
+                let mut branch = vec![sink];
+                let mut cur = sink;
+                loop {
+                    let p = parent[&cur];
+                    if p == cur {
+                        break;
+                    }
+                    branch.push(p);
+                    cur = p;
+                }
+                branch.reverse();
+                let mut path = net.chain_to(branch[0]);
+                path.extend_from_slice(&branch[1..]);
+                return Ok(path);
+            }
+        }
+        Err(SimError::Unroutable {
+            from: net.source,
+            to: sink,
+        })
+    }
+
+    /// Differential net: the dense search against the reference on
+    /// random devices, nets, reservations and `within` regions.
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A tile `(dr, dc)` away from `from` (offsets biased by 8),
+        /// clamped to the device.
+        fn near(dev: &Device, from: ClbCoord, dr: u16, dc: u16) -> ClbCoord {
+            let clamp = |v: u16, d: u16, max: u16| (v + d).saturating_sub(8).min(max - 1);
+            ClbCoord::new(
+                clamp(from.row, dr, dev.rows()),
+                clamp(from.col, dc, dev.cols()),
+            )
+        }
+
+        /// Wire `w` of `0..2 × WIRE_COUNT`: a cell input pin for the
+        /// upper half (the usual sink), any wire for the lower.
+        fn sink_wire(w: usize) -> Wire {
+            if w < WIRE_COUNT {
+                Wire::from_index(w)
+            } else {
+                Wire::CellIn((w / 4 % 4) as u8, (w % 4) as u8)
+            }
+        }
+
+        /// A `within` region of shape `kind` around the search's seed
+        /// tile `src` and sink tile `dst`. Kinds cover `None`, empty and
+        /// 1×1 regions, regions that exclude the sink or the source, a
+        /// covering box, and arbitrary (possibly off-device) rectangles.
+        fn region(
+            kind: u8,
+            src: ClbCoord,
+            dst: ClbCoord,
+            r: u16,
+            c: u16,
+            h: u16,
+            w: u16,
+        ) -> Option<Rect> {
+            let at = |t: ClbCoord| Rect::new(t, h + 1, w + 1);
+            let covering = Rect::from_corners(
+                ClbCoord::new(src.row.min(dst.row), src.col.min(dst.col)),
+                ClbCoord::new(src.row.max(dst.row), src.col.max(dst.col)),
+            );
+            match kind {
+                0 | 8 | 9 => None,
+                1 => Some(Rect::new(ClbCoord::new(r % 40, c % 40), 0, w)),
+                2 => Some(Rect::new(src, 1, 1)),
+                3 => Some(Rect::new(ClbCoord::new(r % 40, c % 40), 1, 1)),
+                // Anchored at the source: usually excludes the sink.
+                4 => Some(at(src)),
+                // Anchored at the sink: usually excludes the source.
+                5 => Some(at(dst)),
+                6 | 10 | 11 => Some(Rect::new(
+                    ClbCoord::new(
+                        covering.origin.row.saturating_sub(h),
+                        covering.origin.col.saturating_sub(w),
+                    ),
+                    covering.rows + 2 * h,
+                    covering.cols + 2 * w,
+                )),
+                7 => Some(Rect::new(ClbCoord::new(r % 40, c % 40), h * 4, w * 4)),
+                _ => None,
+            }
+        }
+
+        fn check(
+            db: &NetDb,
+            dev: &Device,
+            net: &RoutedNet,
+            id: NetId,
+            sink: RouteNode,
+            within: Option<Rect>,
+        ) {
+            let dense = db.find_path(dev, net, id, sink, within);
+            let reference = reference_find_path(db, dev, net, id, sink, within);
+            prop_assert_eq!(
+                dense,
+                reference,
+                "net {} to {} within {:?}",
+                id,
+                sink,
+                within
+            );
+        }
+
+        #[test]
+        fn seed_outside_within_grows_through_its_segment_link() {
+            use rtm_fpga::routing::Dir;
+            let mut d = dev();
+            let mut db = NetDb::new();
+            // A net ending on a south-bound single: its last node sits in
+            // row 4, its segment link lands in row 5.
+            let end = RouteNode::new(ClbCoord::new(4, 4), Wire::Out(Dir::South, 0));
+            let id = db.route_net(&mut d, out(4, 3, 0), &[end], None).unwrap();
+            let net = db.net(id).unwrap().clone();
+            // Every node of the net lies outside the region.
+            let region = Rect::new(ClbCoord::new(5, 0), 6, 12);
+            assert!(net.nodes().all(|n| !region.contains(n.tile)));
+            let within = Some(region);
+            let sink = pin(7, 4, 0, 0);
+            let dense = db.find_path(&d, &net, id, sink, within);
+            assert_eq!(dense, reference_find_path(&db, &d, &net, id, sink, within));
+            let path = dense.unwrap();
+            assert!(
+                path.contains(&end),
+                "the branch grows from the outside seed"
+            );
+        }
+
+        #[test]
+        fn sink_outside_within_is_reached_over_a_segment_link() {
+            use rtm_fpga::routing::Dir;
+            let d = dev();
+            let mut db = NetDb::new();
+            let source = out(3, 3, 0);
+            let id = db.nets.len();
+            db.occupancy.entry(source).or_default().push(id);
+            let net = RoutedNet::new(source);
+            // The sink is the inbound end of a single leaving the region.
+            let region = Rect::new(ClbCoord::new(2, 2), 4, 4);
+            let sink = RouteNode::new(ClbCoord::new(6, 3), Wire::In(Dir::North, 0));
+            assert!(!region.contains(sink.tile));
+            let within = Some(region);
+            let dense = db.find_path(&d, &net, id, sink, within);
+            assert_eq!(dense, reference_find_path(&db, &d, &net, id, sink, within));
+            assert_eq!(dense.unwrap().last(), Some(&sink));
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn dense_search_matches_reference(
+                big in any::<bool>(),
+                reserved in proptest::collection::vec(
+                    (any::<u16>(), any::<u16>(), 0usize..WIRE_COUNT, 0u8..4), 0..40),
+                nets in proptest::collection::vec(
+                    ((any::<u16>(), any::<u16>(), 0u8..4),
+                     (0u16..17, 0u16..17, 0usize..2 * WIRE_COUNT),
+                     (0u8..12, any::<u16>(), any::<u16>(), 0u16..6, 0u16..6)), 1..6),
+                extends in proptest::collection::vec(
+                    (any::<usize>(), 0u8..5,
+                     (0u16..17, 0u16..17, 0usize..2 * WIRE_COUNT),
+                     (0u8..12, any::<u16>(), any::<u16>(), 0u16..6, 0u16..6)), 0..6),
+            ) {
+                let mut dev = Device::new(if big { Part::Xcv100 } else { Part::Xcv50 });
+                let mut db = NetDb::new();
+                // Foreign reservations: single wires, or (one time in
+                // four) every wire of a tile.
+                for (r, c, w, whole) in reserved {
+                    let tile = ClbCoord::new(r % dev.rows(), c % dev.cols());
+                    if whole == 0 {
+                        db.reserve(Wire::all().map(|w| RouteNode::new(tile, w)));
+                    } else {
+                        db.reserve([RouteNode::new(tile, Wire::from_index(w))]);
+                    }
+                }
+                for ((r, c, cell), (dr, dc, wire), (kind, rr, rc, h, w)) in nets {
+                    let src = ClbCoord::new(r % dev.rows(), c % dev.cols());
+                    let source = RouteNode::new(src, Wire::CellOut(cell));
+                    let dst = near(&dev, src, dr, dc);
+                    let sink = RouteNode::new(dst, sink_wire(wire));
+                    let within = region(kind, src, dst, rr, rc, h, w);
+                    // A fresh net's first search, with the source's
+                    // occupancy entry in place exactly as `route_net`
+                    // makes it.
+                    let id = db.nets.len();
+                    db.occupancy.entry(source).or_default().push(id);
+                    check(&db, &dev, &RoutedNet::new(source), id, sink, within);
+                    remove_occupant(&mut db.occupancy, source, id);
+                    let _ = db.route_net(&mut dev, source, &[sink], within);
+                }
+                for (pick, from, (dr, dc, wire), (kind, rr, rc, h, w)) in extends {
+                    let live: Vec<NetId> = db.nets().map(|(id, _)| id).collect();
+                    if live.is_empty() {
+                        break;
+                    }
+                    let id = live[pick % live.len()];
+                    let net = db.net(id).unwrap().clone();
+                    let nodes: Vec<RouteNode> = net.nodes().collect();
+                    let seed = nodes[pick % nodes.len()];
+                    // `from == 0`: a node the net already owns
+                    // (`SinkOccupied`); otherwise a sink near one of its
+                    // nodes.
+                    let sink = if from == 0 {
+                        seed
+                    } else {
+                        RouteNode::new(near(&dev, seed.tile, dr, dc), sink_wire(wire))
+                    };
+                    // Kind 7 here: the net's bounding box minus its top
+                    // row and left column, so some of the net's nodes
+                    // sit just outside the region and seed the search
+                    // through their segment links into it.
+                    let within = if kind == 7 {
+                        let (r0, c0) = nodes.iter().fold((u16::MAX, u16::MAX), |(r, c), n| {
+                            (r.min(n.tile.row), c.min(n.tile.col))
+                        });
+                        let (r1, c1) = nodes
+                            .iter()
+                            .fold((0, 0), |(r, c), n| (r.max(n.tile.row), c.max(n.tile.col)));
+                        Some(Rect::new(ClbCoord::new(r0 + 1, c0 + 1), r1 - r0, c1 - c0))
+                    } else {
+                        region(kind, seed.tile, sink.tile, rr, rc, h, w)
+                    };
+                    check(&db, &dev, &net, id, sink, within);
+                    let _ = db.extend_net(&mut dev, id, sink, within);
+                }
+            }
+        }
     }
 }
