@@ -41,12 +41,20 @@ echo "==> immediate-vs-deferred admission equivalence (release, full engine x mo
 cargo test -q --release -p rtm-fleet --test deferred_equivalence
 
 echo "==> router differential net (release): dense find_path vs the reference BFS"
-# NetDb::find_path keeps its search state in a dense per-search table.
-# The HashMap BFS it replaced survives as a #[cfg(test)] oracle; on
-# random XCV50/XCV100 nets, reservations and within-regions (None,
-# empty, 1x1, excluding the sink or the source) both must return the
-# identical path or the identical SimError.
+# NetDb::find_path keeps its whole search state in one dense per-search
+# table (OPEN / BLOCKED / parent). The HashMap BFS it replaced survives
+# as a #[cfg(test)] oracle; on random XCV50/XCV100 nets, reservations
+# and within-regions (None, empty, 1x1, excluding the sink or the
+# source), and on a congested XCV50 holding four designs with every
+# foreign node reserved, both must return the identical path or the
+# identical SimError.
 cargo test -q --release -p rtm-sim --lib route::tests::differential
+
+echo "==> perfbench unit tests (release, offline)"
+# The benchmark is its own Cargo package on the workspace's public API;
+# building and testing it here keeps an API change from breaking it
+# unnoticed.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "==> work-stealing-off executor (rtm-fleet --no-default-features)"
 # Without the 'parallel' feature the engine deals shards to static

@@ -1471,39 +1471,10 @@ impl RunTimeManager {
             -(loc.0.col as i64 * dc.signum() as i64 + loc.0.row as i64 * dr.signum() as i64)
         });
 
-        let mut reports = Vec::new();
-        for src in slots {
-            let dst_tile = src
-                .0
-                .offset(dr, dc)
-                .ok_or_else(|| CoreError::DesignMismatch {
-                    detail: format!("translated tile for {} out of bounds", src.0),
-                })?;
-            let dst = (dst_tile, src.1);
-            if dst == src {
-                continue;
-            }
-            let opts = RelocationOptions::default();
-            let report = relocate_cell(
-                &mut self.dev,
-                &mut f.placed,
-                src,
-                dst,
-                &opts,
-                &mut *observer,
-            )
-            .inspect_err(|_| {
-                // Leave no dangling reservations behind on failure.
-            });
-            match report {
-                Ok(report) => reports.push(report),
-                Err(e) => {
-                    f.placed.netdb.clear_reservations();
-                    return Err(e);
-                }
-            }
-        }
+        let moved = move_slots(&mut self.dev, &mut f.placed, slots, dr, dc, observer);
+        // Leave no reservations behind, whatever the outcome.
         f.placed.netdb.clear_reservations();
+        let reports = moved?;
         f.region = to;
         Ok(reports)
     }
@@ -1621,6 +1592,34 @@ impl fmt::Display for ManagerStatus {
             self.part, self.functions, self.frag
         )
     }
+}
+
+/// Relocates every slot by `(dr, dc)`, in the given order, stopping at the
+/// first failure.
+fn move_slots(
+    dev: &mut Device,
+    placed: &mut PlacedDesign,
+    slots: Vec<CellLoc>,
+    dr: i32,
+    dc: i32,
+    observer: &mut impl FnMut(&Device, &PlacedDesign, &StepRecord),
+) -> Result<Vec<RelocationReport>, CoreError> {
+    let opts = RelocationOptions::default();
+    let mut reports = Vec::new();
+    for src in slots {
+        let dst_tile = src
+            .0
+            .offset(dr, dc)
+            .ok_or_else(|| CoreError::DesignMismatch {
+                detail: format!("translated tile for {} out of bounds", src.0),
+            })?;
+        let dst = (dst_tile, src.1);
+        if dst == src {
+            continue;
+        }
+        reports.push(relocate_cell(dev, placed, src, dst, &opts, &mut *observer)?);
+    }
+    Ok(reports)
 }
 
 /// Convenience: the translated rectangle of a move (used by callers

@@ -170,7 +170,16 @@ impl ConfigMemory {
     ///
     /// Panics if `bit` exceeds the frame length.
     pub fn get_bit(&self, addr: FrameAddress, bit: usize) -> Result<bool, FpgaError> {
-        Ok(self.read_frame(addr)?.get(bit))
+        self.validate_addr(addr)?;
+        match self.frames.get(&addr) {
+            Some(frame) => Ok(frame.get(bit)),
+            None => {
+                let len = self.frame_len();
+                assert!(bit < len, "bit index {bit} out of range {len}");
+                // An absent frame reads as all-zero.
+                Ok(false)
+            }
+        }
     }
 
     /// Sets one bit of one frame, returning whether the value changed.
@@ -368,6 +377,33 @@ mod tests {
         assert!(mem.set_bit(addr, 9, true).unwrap());
         assert!(!mem.set_bit(addr, 9, true).unwrap());
         assert!(mem.get_bit(addr, 9).unwrap());
+    }
+
+    #[test]
+    fn get_bit_reads_stored_and_absent_frames() {
+        let mut mem = ConfigMemory::new(Part::Xcv50);
+        let addr = FrameAddress::clb(1, 1);
+        mem.set_bit(addr, 9, true).unwrap();
+        let last = mem.frame_len() - 1;
+        assert!(!mem.get_bit(addr, last).unwrap());
+        assert!(!mem.get_bit(FrameAddress::clb(2, 2), last).unwrap());
+        assert!(mem.get_bit(FrameAddress::clb(24, 0), 0).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn get_bit_beyond_stored_frame_panics() {
+        let mut mem = ConfigMemory::new(Part::Xcv50);
+        let addr = FrameAddress::clb(1, 1);
+        mem.set_bit(addr, 9, true).unwrap();
+        let _ = mem.get_bit(addr, mem.frame_len());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn get_bit_beyond_absent_frame_panics() {
+        let mem = ConfigMemory::new(Part::Xcv50);
+        let _ = mem.get_bit(FrameAddress::clb(1, 1), mem.frame_len());
     }
 
     #[test]

@@ -117,16 +117,28 @@ impl Device {
         let idx = self.idx(coord)?;
         let mut touched = BTreeSet::new();
         for (cell_idx, cell) in clb.cells.iter().enumerate() {
-            let bits = cell.encode();
-            for (bit_idx, bit) in bits.iter().enumerate() {
-                let (addr, offset) = cell_config_bit(coord, cell_idx, bit_idx);
-                if self.config.set_bit(addr, offset, *bit)? {
-                    touched.insert(addr);
-                }
-            }
+            self.write_cell_bits(coord, cell_idx, cell, &mut touched)?;
         }
         self.clbs[idx] = clb;
         Ok(touched.into_iter().collect())
+    }
+
+    /// Writes one cell's configuration bits, adding every frame a bit
+    /// changed in to `touched`.
+    fn write_cell_bits(
+        &mut self,
+        coord: ClbCoord,
+        cell: usize,
+        config: &LogicCell,
+        touched: &mut BTreeSet<FrameAddress>,
+    ) -> Result<(), FpgaError> {
+        for (bit_idx, bit) in config.encode().iter().enumerate() {
+            let (addr, offset) = cell_config_bit(coord, cell, bit_idx);
+            if self.config.set_bit(addr, offset, *bit)? {
+                touched.insert(addr);
+            }
+        }
+        Ok(())
     }
 
     /// Configures one logic cell, leaving the CLB's other cells untouched.
@@ -145,9 +157,11 @@ impl Device {
         config: LogicCell,
     ) -> Result<Vec<FrameAddress>, FpgaError> {
         assert!(cell < CELLS_PER_CLB, "cell index {cell} out of range");
-        let mut clb = *self.clb(coord)?;
-        clb.cells[cell] = config;
-        self.set_clb(coord, clb)
+        let idx = self.idx(coord)?;
+        let mut touched = BTreeSet::new();
+        self.write_cell_bits(coord, cell, &config, &mut touched)?;
+        self.clbs[idx].cells[cell] = config;
+        Ok(touched.into_iter().collect())
     }
 
     /// The stored value of a cell's storage element.
@@ -420,6 +434,35 @@ mod tests {
         }
         // Idempotent: rewriting the same CLB touches nothing.
         assert!(dev.set_clb(coord, clb).unwrap().is_empty());
+    }
+
+    #[test]
+    fn set_cell_matches_a_whole_clb_write() {
+        // Writing one cell touches exactly the frames, bits and journal
+        // entries a whole-CLB write with that cell replaced would.
+        let coord = ClbCoord::new(4, 9);
+        let mut base = small();
+        let mut clb = Clb::default();
+        for (i, cell) in clb.cells.iter_mut().enumerate() {
+            cell.lut = Lut::from_bits(0x1234 * (i as u16 + 1));
+            cell.registered_output = i % 2 == 0;
+        }
+        base.set_clb(coord, clb).unwrap();
+        for cell in 0..CELLS_PER_CLB {
+            let mut config = clb.cells[cell];
+            config.lut = Lut::from_bits(!config.lut.bits());
+            config.uses_ce = true;
+            let (mut one, mut whole) = (base.clone(), base.clone());
+            one.begin_journal();
+            whole.begin_journal();
+            let touched = one.set_cell(coord, cell, config).unwrap();
+            let mut replaced = clb;
+            replaced.cells[cell] = config;
+            assert_eq!(touched, whole.set_clb(coord, replaced).unwrap());
+            assert_eq!(one.end_journal(), whole.end_journal());
+            assert_eq!(one.clb(coord).unwrap(), &replaced);
+            assert!(one.config() == whole.config());
+        }
     }
 
     #[test]

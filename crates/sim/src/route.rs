@@ -8,12 +8,18 @@
 //! retires sinks or whole nets (disconnecting the original CLB), all while
 //! other nets keep their resources.
 //!
-//! A search keeps its state dense: the BFS parent of every node lives in
-//! a flat table indexed by `(tile − frame origin) × WIRE_COUNT +
-//! Wire::index()`, where the frame is the bounding box of everything the
-//! search may visit. Occupancy stays a map (it is sparse and long-lived)
-//! keyed through a fixed-seed multiplicative hasher, and is only ever
-//! used for lookups.
+//! A search keeps all its state in one flat `u32` table indexed by
+//! `(tile − frame origin) × WIRE_COUNT + Wire::index()`, where the frame
+//! is the bounding box of everything the search may visit. Each slot is
+//! `OPEN` (not reached, usable), `BLOCKED` (another net's or a reserved
+//! node, or a node on a tile outside `within`) or the index of the node it
+//! was reached from. The table is filled before the search starts — one
+//! order-independent pass over the occupancy map, then the tiles outside
+//! `within`, then the sink (reopened: it need not be usable), then the
+//! seeds — so the BFS loop only compares slots against `OPEN` and the
+//! sink, walking PIP fan-out and segment links from static per-wire
+//! tables. Occupancy stays a map (it is sparse and long-lived) keyed
+//! through a fixed-seed multiplicative hasher.
 
 use crate::error::SimError;
 use rtm_fpga::geom::{ClbCoord, Rect};
@@ -22,25 +28,57 @@ use rtm_fpga::routing::{
     WIRE_COUNT,
 };
 use rtm_fpga::Device;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
 /// Identifier of a routed net within a [`NetDb`].
 pub type NetId = usize;
 
-/// Static per-wire adjacency: the destination wires reachable by one PIP.
-fn pip_fanout(wire: Wire) -> &'static [Wire] {
-    static TABLE: OnceLock<Vec<Vec<Wire>>> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        (0..WIRE_COUNT)
-            .map(|i| {
-                let from = Wire::from_index(i);
-                Wire::all().filter(|to| pip_exists(from, *to)).collect()
-            })
-            .collect()
-    });
-    &table[wire.index()]
+/// One wire's fixed segment link: the tile step it spans and the index of
+/// the inbound wire it lands on.
+#[derive(Clone, Copy)]
+struct Link {
+    dr: i32,
+    dc: i32,
+    to: u32,
+}
+
+/// Static per-wire search tables, indexed by [`Wire::index`].
+struct WireTables {
+    /// The destination wire indices reachable by one PIP.
+    fanout: Vec<Vec<u32>>,
+    /// The fixed segment link, for wires that drive one.
+    link: Vec<Option<Link>>,
+}
+
+fn wire_tables() -> &'static WireTables {
+    static TABLES: OnceLock<WireTables> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        // Links are read off `fixed_link` at a tile far enough from every
+        // edge that no segment leaves the array.
+        const MID: u16 = 64;
+        let mid = ClbCoord::new(MID, MID);
+        WireTables {
+            fanout: Wire::all()
+                .map(|from| {
+                    Wire::all()
+                        .filter(|to| pip_exists(from, *to))
+                        .map(|to| to.index() as u32)
+                        .collect()
+                })
+                .collect(),
+            link: Wire::all()
+                .map(|w| {
+                    fixed_link(mid, w, 2 * MID, 2 * MID).map(|n| Link {
+                        dr: i32::from(n.tile.row) - i32::from(MID),
+                        dc: i32::from(n.tile.col) - i32::from(MID),
+                        to: n.wire.index() as u32,
+                    })
+                })
+                .collect(),
+        }
+    })
 }
 
 /// One routed net: a source, and one **full** node path (source → sink)
@@ -182,8 +220,11 @@ impl Hasher for NodeHasher {
 /// order that can reach a result.
 type Occupancy = HashMap<RouteNode, Vec<NetId>, BuildHasherDefault<NodeHasher>>;
 
-/// Marks a dense parent-table slot no search has reached.
-const NO_PARENT: u32 = u32::MAX;
+/// A search-table slot not yet reached and usable.
+const OPEN: u32 = u32::MAX;
+/// A search-table slot the search may not enter: a node another net or a
+/// reservation holds, or a node on a tile outside `within`.
+const BLOCKED: u32 = u32::MAX - 1;
 
 /// The tile rectangle one search can visit: the bounding box of `within`
 /// (clipped to the device; the whole device when `None`), the net's
@@ -238,6 +279,43 @@ fn dense_node(frame: Rect, idx: usize) -> RouteNode {
         ),
         Wire::from_index(idx % WIRE_COUNT),
     )
+}
+
+/// Marks every slot of `frame` on a tile outside `within` as [`BLOCKED`].
+fn block_outside(table: &mut [u32], frame: Rect, within: Rect) {
+    let inside = within.intersection(&frame);
+    let row_len = frame.cols as usize * WIRE_COUNT;
+    for (r, row) in (frame.origin.row..).zip(table.chunks_mut(row_len)) {
+        match inside {
+            Some(a) if (a.origin.row..a.row_end()).contains(&r) => {
+                let c0 = (a.origin.col - frame.origin.col) as usize * WIRE_COUNT;
+                let c1 = c0 + a.cols as usize * WIRE_COUNT;
+                row[..c0].fill(BLOCKED);
+                row[c1..].fill(BLOCKED);
+            }
+            _ => row.fill(BLOCKED),
+        }
+    }
+}
+
+/// The full source → sink path a finished search found: the branch from
+/// `sink_idx` back to the net node it grew from (a seed is its own
+/// parent), behind the net's source → branch-point chain.
+fn reconstruct(net: &RoutedNet, frame: Rect, parent: &[u32], sink_idx: usize) -> Vec<RouteNode> {
+    let mut branch = vec![dense_node(frame, sink_idx)];
+    let mut cur = sink_idx;
+    loop {
+        let p = parent[cur] as usize;
+        if p == cur {
+            break;
+        }
+        branch.push(dense_node(frame, p));
+        cur = p;
+    }
+    branch.reverse();
+    let mut path = net.chain_to(branch[0]);
+    path.extend_from_slice(&branch[1..]);
+    path
 }
 
 /// The live net database: routed nets plus wire occupancy.
@@ -466,10 +544,13 @@ impl NetDb {
 
     /// Breadth-first search from the net's current nodes to `sink`.
     ///
-    /// The parent of every reached node lives in a dense table over the
-    /// search frame (see [`search_frame`]), allocated per search so no
-    /// device-sized state is kept per database. A node outside the frame
-    /// is neither the sink nor usable, so skipping it changes nothing.
+    /// The whole search state is one dense table over the search frame
+    /// (see [`search_frame`]), allocated per search so no device-sized
+    /// state is kept per database. Before the search starts, every slot
+    /// the search may not enter is [`BLOCKED`]: nodes another net or a
+    /// reservation holds, and every node on a frame tile outside
+    /// `within`. A node outside the frame is neither the sink nor usable,
+    /// so never reaching it changes nothing.
     fn find_path(
         &self,
         dev: &Device,
@@ -488,83 +569,73 @@ impl NetDb {
             from: net.source,
             to: sink,
         };
-        let usable = |node: RouteNode| -> bool {
-            if let Some(r) = within {
-                if !r.contains(node.tile) {
-                    return false;
-                }
-            }
-            let users = self.users_of(node);
-            users.is_empty() || users == [id]
-        };
         // The frame covers the sink and every seed, so neither lookup
         // below misses.
         let frame = search_frame(dev, within, net.nodes(), sink);
         let Some(sink_idx) = dense_index(frame, sink) else {
             return Err(unroutable);
         };
-        // `parent[i]` is the dense index of the node `i` was reached
-        // from; a seed is its own parent.
-        let mut parent = vec![NO_PARENT; frame.area() as usize * WIRE_COUNT];
-        let mut queue: VecDeque<(RouteNode, u32)> = VecDeque::new();
+        let mut parent = vec![OPEN; frame.area() as usize * WIRE_COUNT];
+        debug_assert!(
+            parent.len() < BLOCKED as usize,
+            "dense indices fit below BLOCKED"
+        );
+        // Usability never changes during a search, so it is decided for
+        // every node up front. The order of this pass cannot matter: it
+        // only ever writes BLOCKED.
+        for (node, users) in &self.occupancy {
+            if !users.is_empty() && users.as_slice() != [id] {
+                if let Some(i) = dense_index(frame, *node) {
+                    parent[i] = BLOCKED;
+                }
+            }
+        }
+        if let Some(area) = within {
+            block_outside(&mut parent, frame, area);
+        }
+        // The sink need not be usable, and the seeds (written last) may
+        // lie outside `within` or be shared.
+        parent[sink_idx] = OPEN;
+        let mut queue: Vec<u32> = Vec::new();
         for n in net.nodes() {
             if let Some(i) = dense_index(frame, n) {
                 parent[i] = i as u32;
-                queue.push_back((n, i as u32));
+                queue.push(i as u32);
             }
         }
-        let (rows, cols) = (dev.rows(), dev.cols());
-        while let Some((node, from)) = queue.pop_front() {
-            let push = |next: RouteNode, parent: &mut [u32], q: &mut VecDeque<_>| {
-                let Some(j) = dense_index(frame, next) else {
-                    return false;
-                };
-                if parent[j] != NO_PARENT {
-                    return false;
-                }
-                if next == sink {
-                    parent[j] = from;
-                    return true;
-                }
-                if usable(next) {
-                    parent[j] = from;
-                    q.push_back((next, j as u32));
-                }
-                false
-            };
+        let tables = wire_tables();
+        let (rows, cols) = (i32::from(frame.rows), i32::from(frame.cols));
+        let mut head = 0;
+        while let Some(&from) = queue.get(head) {
+            head += 1;
+            let i = from as usize;
+            let wire = i % WIRE_COUNT;
             // PIP hops within the tile.
-            let mut found = false;
-            for to in pip_fanout(node.wire) {
-                let next = RouteNode::new(node.tile, *to);
-                if push(next, &mut parent, &mut queue) {
-                    found = true;
-                    break;
-                }
-            }
-            if !found {
-                // Fixed segment link.
-                if let Some(next) = fixed_link(node.tile, node.wire, rows, cols) {
-                    found = push(next, &mut parent, &mut queue);
-                }
-            }
-            if found {
-                // Reconstruct the branch (sink back to the net node it
-                // grew from), then prepend the source → branch-point
-                // chain so the stored path is a full source → sink chain.
-                let mut branch = vec![sink];
-                let mut cur = sink_idx;
-                loop {
-                    let p = parent[cur] as usize;
-                    if p == cur {
-                        break;
+            let tile_base = i - wire;
+            for &to in &tables.fanout[wire] {
+                let j = tile_base + to as usize;
+                if parent[j] == OPEN {
+                    parent[j] = from;
+                    if j == sink_idx {
+                        return Ok(reconstruct(net, frame, &parent, sink_idx));
                     }
-                    branch.push(dense_node(frame, p));
-                    cur = p;
+                    queue.push(j as u32);
                 }
-                branch.reverse();
-                let mut path = net.chain_to(branch[0]);
-                path.extend_from_slice(&branch[1..]);
-                return Ok(path);
+            }
+            // Fixed segment link, if it stays inside the frame.
+            if let Some(link) = tables.link[wire] {
+                let tile = (i / WIRE_COUNT) as i32;
+                let (r, c) = (tile / cols + link.dr, tile % cols + link.dc);
+                if (0..rows).contains(&r) && (0..cols).contains(&c) {
+                    let j = (r * cols + c) as usize * WIRE_COUNT + link.to as usize;
+                    if parent[j] == OPEN {
+                        parent[j] = from;
+                        if j == sink_idx {
+                            return Ok(reconstruct(net, frame, &parent, sink_idx));
+                        }
+                        queue.push(j as u32);
+                    }
+                }
             }
         }
         Err(unroutable)
@@ -646,6 +717,7 @@ mod tests {
     use super::*;
     use rtm_fpga::geom::ClbCoord;
     use rtm_fpga::part::Part;
+    use std::collections::VecDeque;
 
     fn dev() -> Device {
         Device::new(Part::Xcv50)
@@ -881,6 +953,21 @@ mod tests {
         assert!(delay < 5_000, "neighbour route should be short: {delay}");
     }
 
+    /// The destination wires reachable by one PIP: the oracle's own
+    /// adjacency, independent of the search's wire tables.
+    fn pip_fanout(wire: Wire) -> &'static [Wire] {
+        static TABLE: OnceLock<Vec<Vec<Wire>>> = OnceLock::new();
+        let table = TABLE.get_or_init(|| {
+            (0..WIRE_COUNT)
+                .map(|i| {
+                    let from = Wire::from_index(i);
+                    Wire::all().filter(|to| pip_exists(from, *to)).collect()
+                })
+                .collect()
+        });
+        &table[wire.index()]
+    }
+
     /// The `HashMap` breadth-first search the dense [`NetDb::find_path`]
     /// replaced, kept verbatim as the differential oracle.
     fn reference_find_path(
@@ -1088,6 +1175,136 @@ mod tests {
             let dense = db.find_path(&d, &net, id, sink, within);
             assert_eq!(dense, reference_find_path(&db, &d, &net, id, sink, within));
             assert_eq!(dense.unwrap().last(), Some(&sink));
+        }
+
+        /// Congested differential net: four designs share an XCV50, each
+        /// database holds its own nets and reserves every foreign node
+        /// (the state a live relocation routes in), and a few hundred
+        /// searches — whole-device, shared and reserved sink pins, seeds
+        /// outside `within` — must agree with the reference. Found paths
+        /// are sometimes committed, and reserved in the other databases,
+        /// so congestion grows as the run goes on.
+        #[test]
+        fn congested_device_matches_reference() {
+            use crate::design::implement_reserved;
+            use rtm_netlist::random::RandomCircuit;
+            use rtm_netlist::techmap::map_to_luts;
+
+            let mut d = dev();
+            let regions: Vec<Rect> = [(0, 0), (0, 12), (8, 0), (8, 12)]
+                .into_iter()
+                .map(|(r, c)| Rect::new(ClbCoord::new(r, c), 8, 12))
+                .collect();
+            let mut dbs: Vec<NetDb> = Vec::new();
+            for (seed, region) in (1..).zip(&regions) {
+                let circuit = RandomCircuit::free_running(6, 30, seed).generate();
+                let mapped = map_to_luts(&circuit).unwrap();
+                let foreign: Vec<RouteNode> = dbs.iter().flat_map(NetDb::all_nodes).collect();
+                let placed = implement_reserved(&mut d, &mapped, *region, &foreign).unwrap();
+                dbs.push(placed.netdb);
+            }
+            let owned: Vec<Vec<RouteNode>> = dbs.iter().map(NetDb::all_nodes).collect();
+            for (k, db) in dbs.iter_mut().enumerate() {
+                for (other, nodes) in owned.iter().enumerate() {
+                    if other != k {
+                        db.reserve(nodes.iter().copied());
+                    }
+                }
+            }
+            // splitmix64: a fixed stream, so a failure reproduces.
+            let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+            let mut rand = |n: usize| {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                ((z ^ (z >> 31)) % n as u64) as usize
+            };
+            let searches = if cfg!(debug_assertions) { 100 } else { 300 };
+            let (mut found, mut shared) = (0, 0);
+            for t in 0..searches {
+                let k = t % dbs.len();
+                let live: Vec<NetId> = dbs[k].nets().map(|(id, _)| id).collect();
+                let id = live[rand(live.len())];
+                let net = dbs[k].net(id).unwrap().clone();
+                let nodes: Vec<RouteNode> = net.nodes().collect();
+                let seed = nodes[rand(nodes.len())];
+                let sink = match rand(5) {
+                    // A pin another net of this design already drives.
+                    0 => {
+                        let other = live[rand(live.len())];
+                        let pins: Vec<RouteNode> = dbs[k].net(other).unwrap().sinks().collect();
+                        pins[rand(pins.len())]
+                    }
+                    // A pin a foreign design drives (reserved here).
+                    1 => {
+                        let foreign = &owned[(k + 1 + rand(dbs.len() - 1)) % dbs.len()];
+                        let pins: Vec<RouteNode> = foreign
+                            .iter()
+                            .copied()
+                            .filter(|n| matches!(n.wire, Wire::CellIn(..)))
+                            .collect();
+                        pins[rand(pins.len())]
+                    }
+                    // A node the net already owns (`SinkOccupied`).
+                    2 => seed,
+                    // Any wire, or a cell input pin, near the seed.
+                    kind => {
+                        let tile = near(&d, seed.tile, rand(17) as u16, rand(17) as u16);
+                        let w = rand(WIRE_COUNT);
+                        let wire = if kind == 3 {
+                            Wire::from_index(w)
+                        } else {
+                            sink_wire(w + WIRE_COUNT)
+                        };
+                        RouteNode::new(tile, wire)
+                    }
+                };
+                let users = dbs[k].users_of(sink);
+                if !users.is_empty() && users != [id] {
+                    shared += 1;
+                }
+                let within = match rand(5) {
+                    0 | 1 => None,
+                    2 => Some(regions[k]),
+                    // The net's bounding box minus its top row and left
+                    // column: some seeds lie just outside.
+                    3 => {
+                        let (r0, c0) = nodes.iter().fold((u16::MAX, u16::MAX), |(r, c), n| {
+                            (r.min(n.tile.row), c.min(n.tile.col))
+                        });
+                        let (r1, c1) = nodes
+                            .iter()
+                            .fold((0, 0), |(r, c), n| (r.max(n.tile.row), c.max(n.tile.col)));
+                        Some(Rect::new(ClbCoord::new(r0 + 1, c0 + 1), r1 - r0, c1 - c0))
+                    }
+                    // Another design's region: every seed lies outside.
+                    _ => Some(regions[(k + 1 + rand(dbs.len() - 1)) % dbs.len()]),
+                };
+                let dense = dbs[k].find_path(&d, &net, id, sink, within);
+                let reference = reference_find_path(&dbs[k], &d, &net, id, sink, within);
+                assert_eq!(
+                    dense, reference,
+                    "search {t}: net {id} to {sink} within {within:?}"
+                );
+                if let Ok(path) = dense {
+                    found += 1;
+                    if rand(3) == 0 {
+                        dbs[k].extend_net(&mut d, id, sink, within).unwrap();
+                        for (other, db) in dbs.iter_mut().enumerate() {
+                            if other != k {
+                                db.reserve(path.iter().copied());
+                            }
+                        }
+                    }
+                }
+            }
+            // The run exercised both outcomes and shared sinks.
+            assert!(
+                found > searches / 4 && found < searches,
+                "{found} of {searches} found"
+            );
+            assert!(shared > searches / 10, "{shared} shared sinks");
         }
 
         proptest! {
